@@ -1,0 +1,1 @@
+"""Whole-run and per-layer benchmark of the repro package (see README.md)."""
