@@ -151,11 +151,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.analysis import render_campaign_report
     from repro.resilience.faults import FaultInjector
-    from repro.runner.supervisor import (
-        CampaignConfig,
-        RetryPolicy,
-        run_campaign,
-    )
+    from repro.runner.scheduler import run_campaign
+    from repro.runner.supervisor import CampaignConfig, RetryPolicy
     from repro.runner.tasks import select_tasks
 
     kwargs = {}

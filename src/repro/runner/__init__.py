@@ -10,7 +10,7 @@ of the executors.
 
 * :mod:`repro.runner.tasks` — task model + glob selection/fingerprints.
 * :mod:`repro.runner.journal` — torn-line-tolerant JSONL journal.
-* :mod:`repro.runner.worker` — the subprocess entry point.
+* :mod:`repro.runner.worker` — the long-lived worker process entry point.
 * :mod:`repro.runner.pool` — supervised pool of worker subprocesses.
 * :mod:`repro.runner.supervisor` — campaign config + report model.
 * :mod:`repro.runner.scheduler` — the campaign loop: queue, leases,
@@ -22,9 +22,9 @@ of the executors.
 
 import importlib
 
-#: Lazy re-exports (PEP 562): the worker subprocess imports this package
-#: on every launch (``python -m repro.runner.worker``), and must not pay
-#: for the supervisor's imports before its heartbeat starts.
+#: Lazy re-exports (PEP 562): each long-lived worker process imports this
+#: package when it starts (``python -m repro.runner.worker``), and must
+#: not pay for the supervisor's imports before its heartbeat starts.
 _EXPORTS = {
     "CampaignTask": "tasks",
     "select_tasks": "tasks",
@@ -36,9 +36,8 @@ _EXPORTS = {
     "JOURNAL_VERSION": "journal",
     "CampaignConfig": "supervisor",
     "CampaignReport": "supervisor",
-    "CampaignRunner": "supervisor",
     "RetryPolicy": "supervisor",
-    "run_campaign": "supervisor",
+    "run_campaign": "scheduler",
     "Scheduler": "scheduler",
     "Lease": "leases",
     "LeaseTable": "leases",

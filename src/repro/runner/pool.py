@@ -1,10 +1,19 @@
-"""Supervised pool of ``repro.runner.worker`` subprocesses.
+"""Supervised pool of long-lived ``repro.runner.worker`` subprocesses.
 
 This is the one place a worker subprocess is launched, watched, and
-reaped.  Both executor backends that own real workers use it: the local
-backend (:mod:`repro.runner.backends.local`) runs a pool inside the
-scheduler process, and every node process (:mod:`repro.runner.node`)
-runs its own pool on the far side of a control socket.  Module-level
+reaped.  Each worker serves one pool slot for as long as it stays
+healthy: the pool hands it a task by writing the task's spec path to
+its stdin, learns the task is finished when the result file appears,
+and then keeps the process idle for the slot's next task.  A worker
+that crashes, times out, stalls or writes a corrupt result is killed
+or retired, so only that attempt is lost and the slot's next task
+runs on a fresh process; an idle worker found dead at the next launch
+is replaced the same way.
+
+Both executor backends that own real workers use it: the local backend
+(:mod:`repro.runner.backends.local`) runs a pool inside the scheduler
+process, and every node process (:mod:`repro.runner.node`) runs its
+own pool on the far side of a control socket.  Module-level
 imports are stdlib-only so the node entry point stays as cheap to start
 as the worker itself.
 
@@ -29,6 +38,7 @@ against a monotonic deadline is immune to both.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import subprocess
@@ -62,14 +72,22 @@ class WorkerHandle:
 
 def kill_process(proc: subprocess.Popen, grace_s: float) -> None:
     """Terminate, then kill after *grace_s*; always reaps the child."""
-    if proc.poll() is not None:
-        return
-    proc.terminate()
-    try:
-        proc.wait(timeout=grace_s)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.wait()
+    if proc.poll() is None:
+        proc.terminate()
+        try:
+            proc.wait(timeout=grace_s)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+    _close_stdin(proc)
+
+
+def _close_stdin(proc: subprocess.Popen) -> None:
+    if proc.stdin is not None:
+        # A dead reader can make close() raise; the descriptor is
+        # closed either way.
+        with contextlib.suppress(OSError):
+            proc.stdin.close()
 
 
 class WorkerPool:
@@ -92,11 +110,13 @@ class WorkerPool:
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.kill_grace_s = kill_grace_s
         self._running: List[WorkerHandle] = []
+        #: Live workers waiting for their slot's next task.
+        self._idle: List[subprocess.Popen] = []
 
     # -- launch --------------------------------------------------------------
 
     def launch(self, spec: Dict[str, Any], timeout_s: float) -> WorkerHandle:
-        """Write *spec* to scratch and start one worker subprocess.
+        """Write *spec* to scratch and hand it to a worker subprocess.
 
         The spec must already carry the task identity fields
         (``task_id``, ``experiment_id``, ``fingerprint``, ``seed``,
@@ -124,23 +144,11 @@ class WorkerPool:
         result_path.unlink(missing_ok=True)
         heartbeat_path.touch()  # baseline mtime: launch time
 
-        env = dict(os.environ)
-        package_root = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = (
-            package_root + (os.pathsep + existing if existing else "")
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.runner.worker", str(spec_path)],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
         now = time.monotonic()
         handle = WorkerHandle(
             key=stem,
             spec=spec,
-            proc=proc,
+            proc=self._worker_for(spec_path),
             result_path=result_path,
             heartbeat_path=heartbeat_path,
             started_mono=now,
@@ -150,6 +158,40 @@ class WorkerPool:
         )
         self._running.append(handle)
         return handle
+
+    def _worker_for(self, spec_path: Path) -> subprocess.Popen:
+        """Hand *spec_path* to an idle worker, else to a fresh one."""
+        while self._idle:
+            proc = self._idle.pop()
+            if proc.poll() is None and self._send(proc, spec_path):
+                return proc
+            kill_process(proc, self.kill_grace_s)  # died while idle
+        env = dict(os.environ)
+        package_root = str(Path(__file__).resolve().parents[2])
+        existing = env.get("PYTHONPATH", "")
+        env["PYTHONPATH"] = (
+            package_root + (os.pathsep + existing if existing else "")
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.runner.worker"],
+            env=env,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            bufsize=0,
+        )
+        # A worker that dies before reading its first line surfaces as
+        # a crash when it is polled.
+        self._send(proc, spec_path)
+        return proc
+
+    @staticmethod
+    def _send(proc: subprocess.Popen, spec_path: Path) -> bool:
+        try:
+            proc.stdin.write(f"{spec_path}\n".encode())
+        except OSError:  # BrokenPipeError: the worker is gone
+            return False
+        return True
 
     @staticmethod
     def _mtime_ns(path: Path) -> int:
@@ -163,11 +205,11 @@ class WorkerPool:
     def poll(self) -> Tuple[List[Dict[str, Any]], int]:
         """Advance every worker; returns ``(outcomes, beats)``.
 
-        *outcomes* are attempt-outcome dicts (see :meth:`_collect_exited`)
-        for workers that finished — exited, timed out, or were killed by
-        the watchdog — this call.  *beats* counts workers whose
-        heartbeat advanced, so a backend can translate liveness into
-        lease renewals.
+        *outcomes* are attempt-outcome dicts (see
+        :meth:`_collect_finished`) for attempts that ended — wrote a
+        result, exited, timed out, or were killed by the watchdog — this
+        call.  *beats* counts workers whose heartbeat advanced, so a
+        backend can translate liveness into lease renewals.
         """
         outcomes: List[Dict[str, Any]] = []
         beats = 0
@@ -193,8 +235,8 @@ class WorkerPool:
             handle.last_beat_mtime_ns = mtime_ns
             handle.last_beat_mono = now
             beat = 1
-        if handle.proc.poll() is not None:
-            return self._collect_exited(handle), beat
+        if handle.result_path.exists() or handle.proc.poll() is not None:
+            return self._collect_finished(handle), beat
         if now >= handle.deadline_mono:
             budget = handle.deadline_mono - handle.started_mono
             return self._collect_killed(
@@ -225,8 +267,21 @@ class WorkerPool:
             lease_epoch=spec.get("lease_epoch"),
         )
 
-    def _collect_exited(self, handle: WorkerHandle) -> Dict[str, Any]:
-        """Attempt outcome for a worker that exited on its own."""
+    def _collect_finished(self, handle: WorkerHandle) -> Dict[str, Any]:
+        """Outcome of an attempt whose worker wrote a result or exited.
+
+        A worker that delivered a readable result (``ok`` or ``error``)
+        goes back to the idle list; any other is retired, so the slot's
+        next task starts on a fresh process.
+        """
+        outcome = self._read_outcome(handle)
+        if outcome["status"] in ("ok", "error") and handle.proc.poll() is None:
+            self._idle.append(handle.proc)
+        else:
+            kill_process(handle.proc, self.kill_grace_s)
+        return outcome
+
+    def _read_outcome(self, handle: WorkerHandle) -> Dict[str, Any]:
         common = self._common(handle)
         returncode = handle.proc.returncode
         if not handle.result_path.exists():
@@ -286,8 +341,20 @@ class WorkerPool:
         return len(self._running)
 
     def kill_all(self, grace_s: Optional[float] = None) -> None:
-        """Reap every worker (campaign abort / shutdown)."""
+        """Reap every worker (campaign abort / shutdown).
+
+        Idle workers get EOF on stdin and exit on their own; busy ones
+        are terminated.
+        """
         grace = self.kill_grace_s if grace_s is None else grace_s
+        for proc in self._idle:
+            _close_stdin(proc)
         for handle in self._running:
             kill_process(handle.proc, grace)
+        for proc in self._idle:
+            try:
+                proc.wait(timeout=grace)
+            except subprocess.TimeoutExpired:
+                kill_process(proc, grace)
         self._running = []
+        self._idle = []

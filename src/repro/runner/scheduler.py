@@ -654,20 +654,6 @@ class Scheduler:
         )
 
 
-class CampaignRunner:
-    """Compatibility wrapper: the pre-backend entry point.
-
-    Old call sites built ``CampaignRunner(config).run(tasks)``; that now
-    means "scheduler + the backend the config names".
-    """
-
-    def __init__(self, config: Optional[CampaignConfig] = None) -> None:
-        self.config = config or CampaignConfig()
-
-    def run(self, tasks: Sequence[CampaignTask]) -> CampaignReport:
-        return Scheduler(self.config).run(tasks)
-
-
 def run_campaign(
     tasks: Sequence[CampaignTask],
     config: Optional[CampaignConfig] = None,

@@ -13,10 +13,6 @@ vocabulary both halves speak:
 * :class:`CampaignReport` — the degraded-but-complete summary, now with
   per-backend accounting (executors lost, leases reclaimed, duplicate
   completions discarded, work stolen).
-
-``CampaignRunner`` and :func:`run_campaign` are still importable from
-here for compatibility; they resolve lazily to the scheduler so this
-module never imports the machinery it configures.
 """
 
 from __future__ import annotations
@@ -251,24 +247,3 @@ def entry_is_stale(entry: Dict[str, Any]) -> bool:
         entry.get("seed"),
     )
     return expected != entry.get("fingerprint")
-
-
-#: Names resolved lazily from the scheduler for compatibility: the
-#: campaign loop moved there, but ``from repro.runner.supervisor import
-#: run_campaign`` keeps working.
-_SCHEDULER_EXPORTS = ("CampaignRunner", "Scheduler", "run_campaign")
-
-
-def __getattr__(name: str):
-    if name in _SCHEDULER_EXPORTS:
-        import importlib
-
-        module = importlib.import_module("repro.runner.scheduler")
-        value = getattr(module, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_SCHEDULER_EXPORTS))

@@ -1,17 +1,32 @@
-"""Worker process entry point: ``python -m repro.runner.worker <spec.json>``.
+"""Worker process entry point: ``python -m repro.runner.worker``.
+
+One worker process serves one :class:`~repro.runner.pool.WorkerPool`
+slot for as long as it stays healthy: it reads task spec paths from
+stdin, one per line, runs each task in turn, and exits at EOF.  The
+interpreter start and the numpy/scipy/repro imports are paid once per
+slot, not once per task.
 
 The supervisor never shares memory with a worker.  Everything crosses
-the boundary through three files named in the spec:
+the boundary through three files named in each spec:
 
 * **spec** (read) — the task: experiment id, kwargs, seed, registry
   import spec, chaos directive.
 * **heartbeat** (written) — touched every ``heartbeat_every_s`` by a
   daemon thread started *before* the heavy simulation imports, so the
   supervisor's watchdog can tell "still importing scipy" from "dead".
+  The thread follows the current task's heartbeat file and touches
+  nothing between tasks.
 * **result** (written once) — the JSON-serialized
   :class:`~repro.core.experiments.ExperimentOutcome`, written to a temp
   file and renamed, so the supervisor either sees a complete result or
-  none at all.
+  none at all.  Its appearance is what tells the supervisor the task
+  is finished.
+
+Before each task the worker restores the state a fresh process would
+have: it clears the thermal operator cache (so memory stays bounded by
+one task's LU fill), disarms the operator-corruption hook, and restores
+the oracle config it started with.  ``run_experiment`` resets the
+oracle scoreboard and seeds the RNGs as it does for any run.
 
 Module-level imports are stdlib-only on purpose: heartbeats must start
 within milliseconds of process launch, long before ``repro.core`` pulls
@@ -19,7 +34,9 @@ in numpy/scipy.
 
 Chaos directives (from :meth:`repro.resilience.faults.FaultInjector
 .worker_fault`) make the worker misbehave on demand so campaign tests
-can prove the supervisor survives it:
+can prove the supervisor survives it.  Each costs only its own attempt:
+the supervisor kills or retires the worker and the slot's next task
+runs on a fresh one.
 
 * ``crash`` — exit abruptly with no result, like a segfault or OOM kill.
 * ``hang`` — spin forever *with* heartbeats: only the wall-clock
@@ -41,35 +58,47 @@ import os
 import sys
 import threading
 import time
-from typing import Any, Dict
+from typing import Any, Dict, Iterable, Optional
 
 #: Exit code for an injected crash (distinctive in supervisor logs).
 CRASH_EXIT_CODE = 23
 
 
-def _start_heartbeat(path: str, every_s: float) -> threading.Event:
-    """Touch *path* every *every_s* seconds until the event is set."""
-    stop = threading.Event()
+class Heartbeat:
+    """Daemon thread touching the current task's heartbeat file."""
 
-    def beat() -> None:
-        while not stop.is_set():
-            try:
-                with open(path, "a"):
-                    os.utime(path, None)
-            except OSError:
-                pass  # scratch dir vanished; the supervisor will notice
-            stop.wait(every_s)
+    def __init__(self) -> None:
+        self.path: Optional[str] = None
+        self.every_s = 0.2
+        self._wake = threading.Event()
+        threading.Thread(
+            target=self._run, name="heartbeat", daemon=True
+        ).start()
 
-    thread = threading.Thread(target=beat, name="heartbeat", daemon=True)
-    thread.start()
-    return stop
+    def follow(self, path: Optional[str], every_s: float = 0.2) -> None:
+        """Beat on *path* from now on (None: stop beating)."""
+        self.every_s = every_s
+        self.path = path
+        self._wake.set()
+
+    def _run(self) -> None:
+        while True:
+            self._wake.clear()  # before reading path: no follow() is lost
+            path = self.path
+            if path is not None:
+                try:
+                    with open(path, "a"):
+                        os.utime(path, None)
+                except OSError:
+                    pass  # scratch dir vanished; the supervisor will notice
+            self._wake.wait(self.every_s)
 
 
-def _write_result(path: str, payload: Dict[str, Any]) -> None:
-    """Write *payload* atomically: temp file + fsync + rename."""
+def _write_atomic(path: str, text: str) -> None:
+    """Write *text* atomically: temp file + fsync + rename."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, default=str)
+        handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
@@ -81,13 +110,35 @@ def _resolve_registry(registry_spec: str):
     return getattr(module, attribute)
 
 
-def run_spec(spec: Dict[str, Any]) -> int:
-    """Execute one task spec; returns the process exit code."""
+class FreshState:
+    """Puts back, before each task, the state a new process would have."""
+
+    def __init__(self) -> None:
+        #: Oracle config the process had before its first task.
+        self.startup_oracles: Any = None
+
+    def restore(self) -> None:
+        from repro.oracles.config import get_oracle_config, set_oracle_mode
+
+        if self.startup_oracles is None:
+            self.startup_oracles = get_oracle_config()
+        set_oracle_mode(self.startup_oracles)
+        # A process that never imported the solver has nothing to reset.
+        thermal_solver = sys.modules.get("repro.thermal.solver")
+        if thermal_solver is not None:
+            thermal_solver.clear_operator_cache()
+            thermal_solver.arm_operator_corruption(None)
+
+
+def run_spec(
+    spec: Dict[str, Any], heartbeat: Heartbeat, fresh: FreshState
+) -> None:
+    """Execute one task spec and write its result file."""
     for extra in spec.get("sys_path", []):
         if extra not in sys.path:
             sys.path.insert(0, extra)
 
-    heartbeat_stop = _start_heartbeat(
+    heartbeat.follow(
         spec["heartbeat_path"], float(spec.get("heartbeat_every_s", 0.2))
     )
 
@@ -96,23 +147,25 @@ def run_spec(spec: Dict[str, Any]) -> int:
         os._exit(CRASH_EXIT_CODE)
     if chaos in ("hang", "stall"):
         if chaos == "stall":
-            heartbeat_stop.set()
+            heartbeat.follow(None)
         while True:  # killed by the supervisor (timeout or watchdog)
             time.sleep(0.1)
     if chaos == "corrupt-result":
-        with open(spec["result_path"], "w", encoding="utf-8") as handle:
-            handle.write('{"ok": tru')  # torn JSON, as a dying disk writes
-        return 0
+        heartbeat.follow(None)
+        # Torn JSON, as a dying disk writes it.
+        _write_atomic(spec["result_path"], '{"ok": tru')
+        return
 
     # Heavy imports only now, with heartbeats already flowing.
     from repro.core.experiments import run_experiment
     from repro.oracles.config import set_oracle_mode
 
+    fresh.restore()
     if spec.get("oracle_mode"):
         set_oracle_mode(spec["oracle_mode"])
     if chaos == "flip-operator":
         # Arm a one-shot bit flip against the next cached thermal
-        # operator this worker reuses: the strict/sample oracle must
+        # operator this task reuses: the strict/sample oracle must
         # catch it (detection is what the chaos CI job asserts).
         from repro.resilience.faults import FaultInjector
         from repro.thermal import solver as thermal_solver
@@ -132,34 +185,48 @@ def run_spec(spec: Dict[str, Any]) -> int:
         seed=spec.get("seed"),
         **spec.get("kwargs", {}),
     )
-    _write_result(
+    heartbeat.follow(None)
+    _write_atomic(
         spec["result_path"],
-        {
-            "schema": 1,
-            "task_id": spec.get("task_id", spec["experiment_id"]),
-            "ok": outcome.ok,
-            "result": outcome.result,
-            "error": outcome.error,
-            "error_type": outcome.error_type,
-            "partial": outcome.partial,
-            "elapsed_s": outcome.elapsed_s,
-            "seed": outcome.seed,
-            "fingerprint": outcome.fingerprint,
-            "oracles": outcome.oracles,
-        },
+        json.dumps(
+            {
+                "schema": 1,
+                "task_id": spec.get("task_id", spec["experiment_id"]),
+                "ok": outcome.ok,
+                "result": outcome.result,
+                "error": outcome.error,
+                "error_type": outcome.error_type,
+                "partial": outcome.partial,
+                "elapsed_s": outcome.elapsed_s,
+                "seed": outcome.seed,
+                "fingerprint": outcome.fingerprint,
+                "oracles": outcome.oracles,
+            },
+            default=str,
+        ),
     )
-    heartbeat_stop.set()
+
+
+def serve(lines: Iterable[str]) -> int:
+    """Run the task spec named on each line of *lines* until EOF."""
+    heartbeat = Heartbeat()
+    fresh = FreshState()
+    for line in lines:
+        path = line.strip()
+        if not path:
+            continue
+        with open(path, encoding="utf-8") as handle:
+            spec = json.load(handle)
+        run_spec(spec, heartbeat, fresh)
     return 0
 
 
 def main(argv) -> int:
-    if len(argv) != 1:
-        print("usage: python -m repro.runner.worker <spec.json>",
+    if argv:
+        print("usage: python -m repro.runner.worker < spec-paths",
               file=sys.stderr)
         return 2
-    with open(argv[0], encoding="utf-8") as handle:
-        spec = json.load(handle)
-    return run_spec(spec)
+    return serve(sys.stdin)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

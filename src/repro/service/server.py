@@ -193,6 +193,8 @@ class ReproService:
             thread_name_prefix="repro-job",
         )
         self._dispatchers: list[asyncio.Task] = []
+        #: Set by :meth:`stop`; every dispatcher exits at its next turn.
+        self._stopping = False
         self._server: Optional[asyncio.AbstractServer] = None
         self.port: int = 0
 
@@ -268,13 +270,14 @@ class ReproService:
         ]
 
     async def stop(self) -> None:
+        # The cancel interrupts whatever a dispatcher is awaiting, but
+        # on 3.11 ``asyncio.wait_for`` in ``_process`` swallows a cancel
+        # that lands as its executor future completes; the stop flag is
+        # what guarantees the dispatcher loop ends either way.
+        self._stopping = True
         for task in self._dispatchers:
             task.cancel()
-        for task in self._dispatchers:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        await asyncio.gather(*self._dispatchers, return_exceptions=True)
         self._dispatchers = []
         if self._server is not None:
             self._server.close()
@@ -393,7 +396,7 @@ class ReproService:
     # -- dispatcher back end -------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
-        while True:
+        while not self._stopping:
             fingerprint = await self._queue.get()
             try:
                 await self._process(fingerprint)
@@ -656,6 +659,8 @@ class ServiceThread:
         if loop is not None and stop is not None and loop.is_running():
             loop.call_soon_threadsafe(stop.set)
         self._thread.join(timeout=30.0)
+        if self._thread.is_alive():
+            raise RuntimeError("service thread did not stop within 30s")
 
 
 def run_service(config: ServiceConfig) -> int:

@@ -23,11 +23,8 @@ from repro.resilience import (
     verify_checkpoint,
 )
 from repro.runner.journal import Journal, make_entry, scan_journal
-from repro.runner.supervisor import (
-    CampaignConfig,
-    RetryPolicy,
-    run_campaign,
-)
+from repro.runner.scheduler import run_campaign
+from repro.runner.supervisor import CampaignConfig, RetryPolicy
 from repro.runner.tasks import CampaignTask
 
 from tests.campaign_fixtures import FAST_REGISTRY_SPEC

@@ -16,11 +16,8 @@ from repro.cli import main as cli_main
 from repro.resilience.faults import FaultInjector
 from repro.runner.backends import make_backend, parse_backend_spec
 from repro.runner.journal import read_journal
-from repro.runner.supervisor import (
-    CampaignConfig,
-    RetryPolicy,
-    run_campaign,
-)
+from repro.runner.scheduler import run_campaign
+from repro.runner.supervisor import CampaignConfig, RetryPolicy
 from repro.runner.tasks import CampaignTask
 
 from tests.campaign_fixtures import FAST_REGISTRY_SPEC

@@ -18,11 +18,8 @@ import pytest
 
 from repro.resilience.faults import FaultInjector
 from repro.runner.backends.nodes import NodesBackend
-from repro.runner.supervisor import (
-    CampaignConfig,
-    RetryPolicy,
-    run_campaign,
-)
+from repro.runner.scheduler import run_campaign
+from repro.runner.supervisor import CampaignConfig, RetryPolicy
 from repro.runner.tasks import CampaignTask
 
 from tests.campaign_fixtures import FAST_REGISTRY_SPEC

@@ -11,11 +11,8 @@ import pytest
 
 from repro.resilience.faults import FaultInjector
 from repro.runner.journal import completed_fingerprints, read_journal
-from repro.runner.supervisor import (
-    CampaignConfig,
-    RetryPolicy,
-    run_campaign,
-)
+from repro.runner.scheduler import run_campaign
+from repro.runner.supervisor import CampaignConfig, RetryPolicy
 from repro.runner.tasks import CampaignTask
 
 from tests.campaign_fixtures import FAST_REGISTRY_SPEC

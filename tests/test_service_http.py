@@ -16,8 +16,6 @@ import socket
 import threading
 import time
 
-import pytest
-
 from repro.resilience.faults import FaultInjector
 from repro.service.server import ServiceConfig, ServiceThread
 
@@ -424,3 +422,23 @@ class TestDispatcherRevalidation:
         finally:
             svc.jobs.close()
             svc._pool.shutdown(wait=False)
+
+
+class TestShutdown:
+    """Stopping with jobs in flight must end the service thread promptly.
+
+    On Python 3.11 ``asyncio.wait_for`` can swallow the cancel that
+    ``stop()`` sends a dispatcher whose executor job is just finishing;
+    a dispatcher that relied on that cancel went back to waiting on the
+    queue and the thread join ran out its timeout.
+    """
+
+    def test_stop_with_jobs_in_flight_never_hangs(self, tmp_path):
+        for i in range(24):
+            svc = service(tmp_path / f"run{i}", parallel_jobs=2)
+            with svc:
+                for seed in range(4):
+                    submit(svc.port, "quick", seed=100 * i + seed)
+                started = time.monotonic()
+            assert not svc._thread.is_alive(), f"iteration {i} hung"
+            assert time.monotonic() - started < 10.0, f"iteration {i}"
