@@ -45,6 +45,7 @@ from repro.thermal.solver import (
     SolverConfig,
     ThermalSolution,
     assemble_system,
+    factorize,
 )
 from repro.thermal.stack import ThermalStack
 from repro.thermal.transient import TransientResult, solve_transient
@@ -73,13 +74,7 @@ class LadderReport:
 
 
 def _solve_lu(system: DiscreteSystem) -> np.ndarray:
-    try:
-        lu = spla.splu(system.matrix, permc_spec="MMD_AT_PLUS_A")
-        return lu.solve(system.rhs)
-    except RuntimeError as exc:  # singular factorization
-        raise SolverDivergenceError(
-            f"LU factorization failed: {exc}", method="lu"
-        ) from exc
+    return factorize(system.matrix).solve(system.rhs)
 
 
 def _solve_cg(system: DiscreteSystem, tol: float) -> np.ndarray:

@@ -31,7 +31,6 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.oracles.config import get_oracle_config
 from repro.oracles.invariants import check_temperature_bounds
@@ -43,6 +42,7 @@ from repro.thermal.solver import (
     SolverConfig,
     ThermalSolution,
     assemble_system,
+    factorize,
 )
 from repro.thermal.stack import ThermalStack
 
@@ -135,7 +135,8 @@ def solve_transient(
         A :class:`TransientResult` sampled at every step.
 
     Raises:
-        SolverDivergenceError: a step produced non-finite temperatures.
+        SolverDivergenceError: the backward-Euler factorization failed or
+            a step produced non-finite temperatures.
         CheckpointError: *resume_from* is unusable or incompatible.
     """
     if duration_s <= 0 or dt_s <= 0:
@@ -172,7 +173,7 @@ def solve_transient(
     if lu is None:
         mass_over_dt = sp.diags(system.mass / dt_s)
         lhs = (system.matrix + mass_over_dt).tocsc()
-        lu = spla.splu(lhs, permc_spec="MMD_AT_PLUS_A")
+        lu = factorize(lhs)
         if operator is not None:
             operator.transient_lus[dt_s] = lu
             while len(operator.transient_lus) > _TRANSIENT_LU_MAX:

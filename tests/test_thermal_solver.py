@@ -275,6 +275,28 @@ class TestOperatorCache:
         stats = operator_cache_stats()
         assert stats["misses"] == 1 and stats["hits"] >= 1
 
+    def test_lu_bytes_counts_cached_factors(self):
+        from repro.thermal.transient import solve_transient
+
+        stack = build_planar_stack(uniform_floorplan("u", 10.0, 10.0, 60.0))
+        tiny = SolverConfig(nx=12, ny=12)
+        assert operator_cache_stats()["lu_bytes"] == 0
+        solve_steady_state(stack, tiny)
+        steady_bytes = operator_cache_stats()["lu_bytes"]
+        assert steady_bytes > 0
+        solve_transient(stack, tiny, duration_s=0.1, dt_s=0.05)
+        assert operator_cache_stats()["lu_bytes"] > steady_bytes
+        # Equal to the CSC bytes of the materialised L and U factors.
+        operator = assemble_system(stack, tiny).operator
+        factors = [operator.steady_lu, *operator.transient_lus.values()]
+        assert operator_cache_stats()["lu_bytes"] == sum(
+            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+            for lu in factors
+            for m in (lu.L, lu.U)
+        )
+        clear_operator_cache()
+        assert operator_cache_stats()["lu_bytes"] == 0
+
 
 class TestSolverConfigValidation:
     def test_rejects_tiny_grid(self):
