@@ -72,8 +72,8 @@ def render_campaign_report(report: Dict[str, Any]) -> str:
     if report.get("degraded_solves") or report.get("fallback_solves"):
         lines.append(
             f"thermal solves: {report.get('fallback_solves', 0)} via "
-            f"fallback rungs, {report.get('degraded_solves', 0)} degraded "
-            f"(coarser grid than requested)"
+            f"the CG fallback, {report.get('degraded_solves', 0)} degraded "
+            f"(flagged by an oracle)"
         )
     if report.get("torn_journal_lines") or report.get("corrupt_journal_lines"):
         lines.append(

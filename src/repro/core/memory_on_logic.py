@@ -78,10 +78,6 @@ class MemoryOnLogicConfig:
     cache_die_metal: str = "cu"
 
     @property
-    def is_stacked(self) -> bool:
-        return self.cache_die is not None
-
-    @property
     def total_power_w(self) -> float:
         power = self.cpu_die.total_power
         if self.cache_die is not None:

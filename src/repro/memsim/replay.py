@@ -18,7 +18,7 @@ at a time, the full replay state (hierarchy, queues, completion table,
 statistics) can be checkpointed to disk at any record boundary, and a
 fresh replayer restored from that checkpoint continues the run
 bit-identically.  An optional
-:class:`~repro.resilience.guards.TraceGuard` validates the stream as it
+:class:`~repro.traces.guard.TraceGuard` validates the stream as it
 flows: strict mode raises
 :class:`~repro.resilience.errors.TraceCorruptionError` on the first bad
 record, lenient mode quarantines bad records and reports counts.
@@ -46,8 +46,8 @@ from repro.oracles.invariants import (
 )
 from repro.oracles.report import record_check, record_violation
 from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
-from repro.resilience.guards import TraceGuard
 from repro.traces.generator import TRACE_DTYPE, array_to_records
+from repro.traces.guard import TraceGuard
 from repro.traces.record import AccessType, TraceRecord
 
 #: Completion-table pruning: drop entries this many uids behind the head.

@@ -19,12 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-#: Silicon damage ceiling, Celsius.  Mirrors
-#: ``repro.resilience.guards.TEMP_MAX_C`` — duplicated (and
-#: equality-tested) rather than imported so the oracles package stays
-#: free of intra-repro imports: resilience already sits in a baselined
-#: import cycle with thermal/traces, and an oracles -> resilience edge
-#: would pull this package into it.
+#: Silicon damage ceiling, Celsius: a die melts far below this, so a
+#: hotter cell is solver garbage, not physics.
 TEMP_MAX_C = 400.0
 
 #: Loose CPMA sanity bands per Table 1 RMS kernel, (lo, hi) cycles per

@@ -1,71 +1,50 @@
-"""Resilience subsystem: guards, fallbacks, checkpoints, fault injection.
+"""Resilience subsystem: error taxonomy, checkpoints, fault injection.
 
-Production-hardens the repository's three long-running engines — trace
-replay (Section 3), the interval performance model (Section 4), and the
-finite-volume thermal solver (Section 2.3) — with:
+The bottom layer under the repository's three long-running engines —
+trace replay (Section 3), the interval performance model (Section 4),
+and the finite-volume thermal solver (Section 2.3).  It imports nothing
+else from ``repro`` and provides:
 
 * a structured exception taxonomy (:mod:`repro.resilience.errors`),
-* run guards over solver outputs and trace streams with strict/lenient
-  modes (:mod:`repro.resilience.guards`),
-* a retry/degradation ladder for the thermal solvers
-  (:mod:`repro.resilience.policy`),
 * checkpoint/resume for interruptible runs
   (:mod:`repro.resilience.checkpoint`), and
 * a seeded fault-injection harness proving every degradation path
   engages (:mod:`repro.resilience.faults`).
+
+The guards and fallbacks built on these live with the engines they
+protect: the trace-stream guard in :mod:`repro.traces.guard`, the
+LU→CG fallback in :func:`repro.thermal.solver.solve_steady_state`.
 """
 
-import importlib
+from repro.resilience.checkpoint import (
+    load_checkpoint,
+    quarantine_file,
+    save_checkpoint,
+    verify_checkpoint,
+)
+from repro.resilience.errors import (
+    CheckpointError,
+    GuardViolation,
+    OracleError,
+    ReproError,
+    SolverDivergenceError,
+    StateIntegrityError,
+    TraceCorruptionError,
+)
+from repro.resilience.faults import WORKER_FAULT_MODES, FaultInjector
 
-#: Every re-export is resolved lazily (PEP 562).  The subsystem sits
-#: *below* the engines it hardens (``traces.record`` raises our errors,
-#: the thermal/memsim engines call our guards) while ``policy`` sits
-#: *above* them (it drives the thermal solvers) — an eager import here
-#: would therefore close an import cycle.
-_EXPORTS = {
-    "ReproError": "errors",
-    "SolverDivergenceError": "errors",
-    "TraceCorruptionError": "errors",
-    "CheckpointError": "errors",
-    "StateIntegrityError": "errors",
-    "OracleError": "errors",
-    "GuardViolation": "errors",
-    "TraceGuard": "guards",
-    "check_finite": "guards",
-    "check_power_map": "guards",
-    "check_residual": "guards",
-    "check_temperature_bounds": "guards",
-    "relative_residual": "guards",
-    "RESIDUAL_TOL": "guards",
-    "TEMP_MIN_C": "guards",
-    "TEMP_MAX_C": "guards",
-    "LadderReport": "policy",
-    "solve_steady_state_resilient": "policy",
-    "solve_transient_resilient": "policy",
-    "save_checkpoint": "checkpoint",
-    "load_checkpoint": "checkpoint",
-    "verify_checkpoint": "checkpoint",
-    "quarantine_file": "checkpoint",
-    "FaultInjector": "faults",
-    "make_raw_record": "faults",
-    "WORKER_FAULT_MODES": "faults",
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    module = importlib.import_module(f"repro.resilience.{module_name}")
-    value = getattr(module, name)
-    globals()[name] = value  # cache for subsequent lookups
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
-
-__all__ = list(_EXPORTS)
+__all__ = [
+    "ReproError",
+    "SolverDivergenceError",
+    "TraceCorruptionError",
+    "CheckpointError",
+    "StateIntegrityError",
+    "OracleError",
+    "GuardViolation",
+    "save_checkpoint",
+    "load_checkpoint",
+    "verify_checkpoint",
+    "quarantine_file",
+    "FaultInjector",
+    "WORKER_FAULT_MODES",
+]

@@ -29,9 +29,8 @@ The taxonomy:
     an incompatible run.
 
 ``GuardViolation``
-    A run guard rejected an engine's output (implausible temperatures,
-    negative power, residual above tolerance).  Also a
-    :class:`ValueError` for backward compatibility.
+    A run guard rejected an engine's input (a non-finite or negative
+    power map).  Also a :class:`ValueError` for backward compatibility.
 
 ``StateIntegrityError``
     Persisted state (a checkpoint envelope, a journal line) failed its
@@ -70,7 +69,9 @@ class SolverDivergenceError(ReproError):
     Attributes:
         residual: Relative residual ``||Ax - b|| / ||b||`` at failure,
             or ``float("nan")`` if the solve produced no usable vector.
-        method: Which ladder rung failed (``"lu"``, ``"cg"``, ...).
+        method: Which solver failed: ``"lu"`` (factorization or a
+            non-finite field) or ``"cg"`` (the steady solver's fallback
+            did not converge).
     """
 
     def __init__(
@@ -149,11 +150,10 @@ class OracleError(ReproError):
 
 
 class GuardViolation(ReproError, ValueError):
-    """A run guard rejected an engine output as physically implausible.
+    """A run guard rejected an engine input as physically implausible.
 
     Attributes:
-        guard: Name of the guard that fired (e.g.
-            ``"temperature-bounds"``, ``"residual"``, ``"power-map"``).
+        guard: Name of the guard that fired (``"power-map"``).
     """
 
     def __init__(

@@ -5,7 +5,7 @@ to survive, so tests can prove every degradation path actually engages:
 
 * **Trace corruption** — rewrite a fraction of records with invalid
   fields (negative addresses, forward/self dependencies, bad cpu ids,
-  uid regressions), bypassing :class:`TraceRecord` construction-time
+  uid regressions), bypassing the trace record's construction-time
   validation the way a truncated or bit-flipped trace file would.
 * **Dropped dependencies** — silently remove producer records from the
   stream, leaving consumers pointing at uids that never complete.
@@ -16,9 +16,6 @@ to survive, so tests can prove every degradation path actually engages:
   arrays to model storage/memory corruption of checkpoints, journal
   lines, and cached operators; the integrity layer must detect every
   one.
-* **Forced solver failures** — a stage budget consulted by the fallback
-  ladder in :mod:`repro.resilience.policy`, so "LU failed" can be
-  simulated without manufacturing a singular matrix.
 * **Worker faults** — chaos directives for the campaign runner
   (:mod:`repro.runner`): crash a worker process, hang it past its
   wall-clock budget, stall its heartbeat, or corrupt its result file,
@@ -46,12 +43,15 @@ from a fault schedule does not reshuffle the faults that remain.
 
 from __future__ import annotations
 
+import copy
 import random
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Dict, Iterable, Iterator, Optional, TypeVar
 
 import numpy as np
 
-from repro.traces.record import AccessType, NO_DEP, TraceRecord
+#: A trace record (:class:`repro.traces.record.TraceRecord`); typed
+#: generically so this layer-0 module need not import the traces layer.
+R = TypeVar("R")
 
 #: Corruption modes :meth:`FaultInjector.corrupt_record` cycles through.
 CORRUPTION_MODES = (
@@ -95,27 +95,16 @@ SERVICE_FAULT_MODES = (
 )
 
 
-def make_raw_record(
-    uid: int,
-    cpu: int,
-    kind: AccessType,
-    address: int,
-    ip: int,
-    dep_uid: int = NO_DEP,
-) -> TraceRecord:
-    """Build a TraceRecord bypassing ``__post_init__`` validation.
+def _raw_copy(record: R, **fields: int) -> R:
+    """Copy of a frozen trace record with *fields* replaced.
 
-    Only for fault injection and tests: this is how invalid records
-    "from disk" are modeled now that construction validates eagerly.
+    Skips the record's construction-time validation, the way bytes read
+    back from a damaged trace file would.
     """
-    record = object.__new__(TraceRecord)
-    object.__setattr__(record, "uid", uid)
-    object.__setattr__(record, "cpu", cpu)
-    object.__setattr__(record, "kind", kind)
-    object.__setattr__(record, "address", address)
-    object.__setattr__(record, "ip", ip)
-    object.__setattr__(record, "dep_uid", dep_uid)
-    return record
+    raw = copy.copy(record)
+    for name, value in fields.items():
+        object.__setattr__(raw, name, value)
+    return raw
 
 
 class FaultInjector:
@@ -129,12 +118,12 @@ class FaultInjector:
             in :meth:`drop_producers`.
         power_fault_rate: Probability of perturbing each element in
             :meth:`perturb_power`.
-        forced_failures: Map of ladder stage name (``"lu"``, ``"cg"``,
-            ``"coarse"``, ``"transient"``) to how many times that stage
-            must fail; -1 means fail every time.  Worker faults use
-            stage names ``"worker-<mode>"`` (any task) or
+        forced_failures: Map of stage name to how many times that
+            stage must fail; -1 means fail every time.  Worker faults
+            use stage names ``"worker-<mode>"`` (any task) or
             ``"worker-<mode>:<task_id>"`` (one task), with mode from
-            :data:`WORKER_FAULT_MODES`.
+            :data:`WORKER_FAULT_MODES`; executor and service faults name
+            their modes the same way.
         worker_fault_rates: Map of mode -> probability that a worker
             attempt suffers that fault (modes from
             :data:`WORKER_FAULT_MODES`); the draw is deterministic per
@@ -197,7 +186,7 @@ class FaultInjector:
         self._site_counts[site] = occurrence + 1
         return random.Random(f"{self.seed}:{site}:{occurrence}")
 
-    # -- forced solver failures ----------------------------------------------
+    # -- forced failures -----------------------------------------------------
 
     def should_fail(self, stage: str) -> bool:
         """Consume one forced failure for *stage*, if any remain."""
@@ -293,7 +282,7 @@ class FaultInjector:
 
     # -- trace faults --------------------------------------------------------
 
-    def corrupt_record(self, record: TraceRecord) -> TraceRecord:
+    def corrupt_record(self, record: R) -> R:
         """Return a corrupted copy of *record* (random corruption mode)."""
         rng = self._site_rng("corrupt-record")
         mode = rng.choice(CORRUPTION_MODES)
@@ -309,11 +298,9 @@ class FaultInjector:
             cpu = -1 if rng.random() < 0.5 else cpu + 4096
         elif mode == "uid-regression":
             uid = -record.uid - 1
-        return make_raw_record(uid, cpu, record.kind, addr, record.ip, dep)
+        return _raw_copy(record, uid=uid, cpu=cpu, address=addr, dep_uid=dep)
 
-    def corrupt_trace(
-        self, records: Iterable[TraceRecord]
-    ) -> Iterator[TraceRecord]:
+    def corrupt_trace(self, records: Iterable[R]) -> Iterator[R]:
         """Yield *records* with a fraction corrupted in place."""
         rate = self.record_corruption_rate
         for record in records:
@@ -322,9 +309,7 @@ class FaultInjector:
             else:
                 yield record
 
-    def drop_producers(
-        self, records: Iterable[TraceRecord]
-    ) -> Iterator[TraceRecord]:
+    def drop_producers(self, records: Iterable[R]) -> Iterator[R]:
         """Yield *records* minus a fraction of loads (dangling deps remain)."""
         rate = self.dependency_drop_rate
         for record in records:

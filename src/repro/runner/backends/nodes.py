@@ -41,7 +41,7 @@ class _NodeState:
     conn: Optional[socket.socket] = None
     read_buffer: bytes = b""
     outstanding: int = 0
-    pid: int = 0
+    pid: int = 0  # from the node's hello; failover tests SIGKILL it
     dead: bool = False
     dead_reason: str = ""
     dead_reported: bool = False
@@ -175,16 +175,6 @@ class NodesBackend(ExecutorBackend):
         if self._server is not None:
             self._server.close()
             self._server = None
-
-    # -- introspection (failover tests SIGKILL through this) -----------------
-
-    def node_pids(self) -> Dict[str, int]:
-        """Live node ids -> OS pids."""
-        return {
-            node_id: state.pid or state.proc.pid
-            for node_id, state in self._nodes.items()
-            if not state.dead
-        }
 
     def executors(self) -> List[str]:
         return [

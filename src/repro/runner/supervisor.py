@@ -211,8 +211,9 @@ def solver_meta_counts(node: Any) -> Tuple[int, int]:
 
     The thermal experiments attach ``{"residual", "method", "degraded"}``
     dicts (see :meth:`ThermalSolution.solver_info`); surfacing them here
-    is what keeps a fallback-ladder run visible in campaign reports
-    instead of silently blending with exact solves.
+    is what keeps a CG-fallback solve (``method != "lu"``) or an
+    oracle-flagged field visible in campaign reports instead of silently
+    blending with direct solves.
     """
     degraded = fallback = 0
     if isinstance(node, dict):

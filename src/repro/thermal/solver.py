@@ -20,7 +20,10 @@ search.  That is valid because every thermal system, the conductance
 matrix ``A`` and the backward-Euler ``A + M/dt`` alike, is symmetric and
 diagonally dominant with a positive diagonal, so diagonal pivots are
 stable; :func:`factorize` checks the diagonal and rejects any system that
-violates it.
+violates it.  Should the factorization fail anyway, or its solve return a
+non-finite field, :func:`solve_steady_state` falls back to
+Jacobi-preconditioned conjugate gradients on the same system and reports
+``method="cg"``.
 
 Assembly and factorization depend only on the stack *geometry* (layers,
 materials, grid, boundary coefficients) — never on the power maps, which
@@ -48,7 +51,6 @@ from repro.oracles.invariants import (
 )
 from repro.oracles.report import record_check, record_violation
 from repro.resilience.errors import GuardViolation, SolverDivergenceError
-from repro.resilience.guards import relative_residual
 from repro.thermal.materials import AMBIENT_C, HEATSINK_H_EFF, MOTHERBOARD_H
 from repro.thermal.stack import ThermalStack
 
@@ -94,10 +96,10 @@ class ThermalSolution:
         die_region: ``(j0, j1, i0, i1)`` cell bounds of the die footprint.
         residual: Relative residual ``||Ax - b|| / ||b||`` of the linear
             solve that produced this field.
-        method: Solver that produced it (``"lu"``, ``"cg"``, or a
-            ``*-coarse`` fallback rung).
-        degraded: True if a fallback rung solved a coarser grid than was
-            requested (see :mod:`repro.resilience.policy`).
+        method: Solver that produced it: ``"lu"``, or ``"cg"`` when
+            :func:`solve_steady_state` fell back from a failed LU.
+        degraded: True if an online oracle flagged the field (residual,
+            energy conservation or temperature bounds).
     """
 
     temperature: np.ndarray
@@ -115,9 +117,9 @@ class ThermalSolution:
     def solver_info(self) -> Dict[str, Any]:
         """How this field was produced: residual, method, degraded flag.
 
-        Experiment results embed this dict so a fallback-ladder solve
-        (see :mod:`repro.resilience.policy`) stays visible in campaign
-        reports instead of silently blending with exact solves.
+        Experiment results embed this dict so a CG-fallback solve or an
+        oracle-flagged field stays visible in campaign reports instead of
+        silently blending with direct solves.
         """
         return {
             "residual": float(self.residual),
@@ -309,6 +311,43 @@ _CACHE_STATS = {"hits": 0, "misses": 0}
 #: Backward-Euler factorizations kept per operator (one per distinct dt).
 _TRANSIENT_LU_MAX = 4
 
+#: CG fallback: relative-residual target and iteration cap.  Jacobi-CG at
+#: rtol 1e-10 matched the LU peak to within 3e-10 C on the nx-48 and
+#: nx-64 stacks and converges far below the cap.
+_CG_RTOL = 1e-10
+_CG_MAXITER = 20_000
+
+
+def relative_residual(matrix, x: np.ndarray, rhs: np.ndarray) -> float:
+    """Relative residual ``||Ax - b|| / ||b||`` of a candidate solution.
+
+    A non-finite *x* is ``inf``; with ``b = 0`` the absolute ``||Ax||``.
+    """
+    x = np.asarray(x, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if not np.all(np.isfinite(x)):
+        return float("inf")
+    norm_b = float(np.linalg.norm(rhs))
+    if norm_b == 0.0:
+        return float(np.linalg.norm(matrix @ x))
+    return float(np.linalg.norm(matrix @ x - rhs) / norm_b)
+
+
+def _positive_diagonal(matrix: sp.spmatrix, method: str) -> np.ndarray:
+    """The system diagonal; raises unless it is positive and finite.
+
+    Both solvers rely on it: LU for stable diagonal pivots, CG for its
+    Jacobi preconditioner.
+    """
+    diagonal = matrix.diagonal()
+    if not (np.all(diagonal > 0) and np.all(np.isfinite(diagonal))):
+        raise SolverDivergenceError(
+            f"{method.upper()} solve refused: system diagonal is not "
+            "positive and finite",
+            method=method,
+        )
+    return diagonal
+
 
 def factorize(matrix: sp.spmatrix) -> Any:
     """Sparse LU of a thermal system in SuperLU's symmetric mode.
@@ -319,13 +358,7 @@ def factorize(matrix: sp.spmatrix) -> Any:
         SolverDivergenceError: the diagonal is not positive and finite,
             or SuperLU found the factor singular.
     """
-    diagonal = matrix.diagonal()
-    if not (np.all(diagonal > 0) and np.all(np.isfinite(diagonal))):
-        raise SolverDivergenceError(
-            "LU factorization refused: system diagonal is not positive "
-            "and finite",
-            method="lu",
-        )
+    _positive_diagonal(matrix, "lu")
     # Symmetric mode takes SuperLU's gstrf from 2.1-4.8 s (general mode,
     # partial pivoting) to 1.6-3.1 s per nx-48 geometry: the seven
     # figure-8/figure-11 systems, 2-core x86-64, Python 3.11, scipy 1.17.
@@ -743,26 +776,8 @@ def assemble_system(
     )
 
 
-def solve_steady_state(
-    stack: ThermalStack, config: Optional[SolverConfig] = None
-) -> ThermalSolution:
-    """Solve a stack for its steady-state temperature field.
-
-    Args:
-        stack: The configuration to solve.
-        config: Discretization/boundary parameters (defaults are calibrated
-            for the paper's desktop package).
-
-    Returns:
-        A :class:`ThermalSolution` with its :attr:`~ThermalSolution.residual`
-        populated.
-
-    Raises:
-        SolverDivergenceError: the factorization failed or the solve
-            produced non-finite temperatures (previously these escaped
-            as silent garbage fields).
-    """
-    system = assemble_system(stack, config)
+def _solve_lu(system: DiscreteSystem) -> np.ndarray:
+    """Steady solve with the operator's cached LU, factorizing on a miss."""
     operator = system.operator
     lu = operator.steady_lu if operator is not None else None
     if lu is None:
@@ -774,7 +789,60 @@ def solve_steady_state(
         raise SolverDivergenceError(
             "LU solve produced non-finite temperatures", method="lu"
         )
+    return flat
+
+
+def _solve_cg(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """Jacobi-preconditioned conjugate gradients on an SPD system."""
+    diagonal = _positive_diagonal(matrix, "cg")
+    flat, info = spla.cg(
+        matrix,
+        rhs,
+        rtol=_CG_RTOL,
+        atol=0.0,
+        maxiter=_CG_MAXITER,
+        M=sp.diags(1.0 / diagonal),
+    )
+    if info != 0 or not np.all(np.isfinite(flat)):
+        raise SolverDivergenceError(
+            f"CG did not converge (info={info})",
+            residual=relative_residual(matrix, flat, rhs),
+            method="cg",
+        )
+    return flat
+
+
+def solve_steady_state(
+    stack: ThermalStack, config: Optional[SolverConfig] = None
+) -> ThermalSolution:
+    """Solve a stack for its steady-state temperature field.
+
+    The geometry's cached symmetric-mode LU does the solve.  Only if the
+    factorization fails or its solve returns a non-finite field does the
+    same assembled system go to Jacobi-preconditioned CG instead; the
+    result then carries ``method="cg"``.
+
+    Args:
+        stack: The configuration to solve.
+        config: Discretization/boundary parameters (defaults are calibrated
+            for the paper's desktop package).
+
+    Returns:
+        A :class:`ThermalSolution` with its :attr:`~ThermalSolution.residual`
+        and :attr:`~ThermalSolution.method` populated.
+
+    Raises:
+        GuardViolation: a layer's power map is non-finite or negative.
+        SolverDivergenceError: LU failed and the CG fallback did not
+            converge (``method="cg"``; the LU error is its context).
+    """
+    system = assemble_system(stack, config)
+    try:
+        flat, method = _solve_lu(system), "lu"
+    except SolverDivergenceError:
+        flat, method = _solve_cg(system.matrix, system.rhs), "cg"
     solution = system.solution_from(flat)
+    solution.method = method
     solution.residual = relative_residual(system.matrix, flat, system.rhs)
     _steady_solution_oracles(system, solution)
     return solution
@@ -783,7 +851,7 @@ def solve_steady_state(
 def _steady_solution_oracles(
     system: DiscreteSystem, solution: "ThermalSolution"
 ) -> None:
-    """Online invariant oracles over a direct steady solve (never raise).
+    """Online invariant oracles over a steady solve (never raise).
 
     Three cheap checks (Section 2.3 physics): the linear residual is
     within tolerance, every watt injected leaves through the boundary

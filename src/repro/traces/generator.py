@@ -218,25 +218,6 @@ def generate_trace(
     return list(TraceGenerator(spec, scale=scale).records())
 
 
-def generate_trace_array(
-    name: str,
-    n_records: int = 100_000,
-    n_threads: int = 2,
-    scale: int = 1,
-    seed: int = 1234,
-    params: Optional[KernelParams] = None,
-) -> np.ndarray:
-    """Generate a complete trace as a :data:`TRACE_DTYPE` array."""
-    spec = WorkloadSpec(
-        name=name,
-        n_records=n_records,
-        n_threads=n_threads,
-        seed=seed,
-        params=params,
-    )
-    return TraceGenerator(spec, scale=scale).arrays()
-
-
 def rms_workloads() -> Dict[str, str]:
     """Table 1: workload name -> description."""
     from repro.traces.kernels.registry import KERNELS

@@ -102,6 +102,29 @@ class TraceRecord:
         return self.dep_uid != NO_DEP
 
 
+def make_raw_record(
+    uid: int,
+    cpu: int,
+    kind: AccessType,
+    address: int,
+    ip: int,
+    dep_uid: int = NO_DEP,
+) -> TraceRecord:
+    """Build a TraceRecord bypassing ``__post_init__`` validation.
+
+    Only for fault injection and tests: this is how invalid records
+    "from disk" are modeled now that construction validates eagerly.
+    """
+    record = object.__new__(TraceRecord)
+    object.__setattr__(record, "uid", uid)
+    object.__setattr__(record, "cpu", cpu)
+    object.__setattr__(record, "kind", kind)
+    object.__setattr__(record, "address", address)
+    object.__setattr__(record, "ip", ip)
+    object.__setattr__(record, "dep_uid", dep_uid)
+    return record
+
+
 def write_trace(records: Iterable[TraceRecord], path: Union[str, Path]) -> int:
     """Write records to a text trace file; returns the record count.
 

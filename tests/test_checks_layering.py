@@ -105,16 +105,9 @@ class TestRepoTree:
     def test_real_tree_layering_matches_known_rot(self):
         files = load_files(package_root())
         diags = layering.run(files)
-        # Everything the pass flags today is the grandfathered
-        # resilience knot (see DESIGN.md and the committed baseline);
-        # any new path/package here is a regression.
-        paths = {d.path for d in diags}
-        assert paths <= {
-            "resilience/faults.py",
-            "resilience/guards.py",
-            "resilience/policy.py",
-            "resilience/__init__.py",
-        }, sorted(d.render() for d in diags)
+        # The layer DAG has no grandfathered violations left; any
+        # finding here is a regression.
+        assert diags == [], sorted(d.render() for d in diags)
 
     def test_every_package_has_a_layer(self):
         files = load_files(package_root())

@@ -126,13 +126,6 @@ class TestScoreboard:
 
 
 class TestInvariants:
-    def test_ceiling_matches_resilience_guard(self):
-        # TEMP_MAX_C is duplicated (not imported) to keep the oracles
-        # package import-free; this pins the two constants together.
-        from repro.resilience import guards
-
-        assert TEMP_MAX_C == guards.TEMP_MAX_C
-
     def test_energy_conservation(self):
         assert check_energy_conservation(100.0, 100.0) == []
         assert check_energy_conservation(100.0, 100.01, rtol=1e-5)

@@ -100,13 +100,17 @@ class TestCorruptedTraceReplay:
 
 class TestPowerPerturbation:
     def test_perturbation_trips_power_guard(self):
-        from repro.resilience import GuardViolation, check_power_map
+        from repro.floorplan.blocks import grid_floorplan
+        from repro.resilience import GuardViolation
+        from repro.thermal.solver import SolverConfig, assemble_system
+        from repro.thermal.stack import build_planar_stack
 
         injector = FaultInjector(seed=2, power_fault_rate=0.3)
         perturbed = injector.perturb_power(np.ones((6, 6)))
         assert injector.injected  # something was injected at 30% rate
+        plan = grid_floorplan("perturbed", 10.0, 10.0, perturbed)
         with pytest.raises(GuardViolation):
-            check_power_map(perturbed)
+            assemble_system(build_planar_stack(plan), SolverConfig(nx=8, ny=8))
 
     def test_zero_rate_is_identity(self):
         injector = FaultInjector(seed=2)
@@ -167,7 +171,7 @@ class TestBitFlips:
 
 class TestRawRecordBypass:
     def test_make_raw_record_skips_validation(self):
-        from repro.resilience import make_raw_record
+        from repro.traces.record import make_raw_record
 
         bad = make_raw_record(5, -3, AccessType.LOAD, -1, 0, dep_uid=99)
         assert bad.cpu == -3 and bad.dep_uid == 99

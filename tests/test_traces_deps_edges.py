@@ -9,9 +9,15 @@ import pytest
 
 from repro.memsim import baseline_config
 from repro.memsim.replay import replay_trace
-from repro.resilience import TraceCorruptionError, make_raw_record
+from repro.resilience import TraceCorruptionError
 from repro.traces.deps import DependencyTracker
-from repro.traces.record import AccessType, NO_DEP, TraceRecord, validate_trace
+from repro.traces.record import (
+    AccessType,
+    NO_DEP,
+    TraceRecord,
+    make_raw_record,
+    validate_trace,
+)
 
 
 def load(uid, cpu=0, address=None, dep=NO_DEP):
