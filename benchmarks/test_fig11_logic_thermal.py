@@ -1,21 +1,19 @@
 """Figure 11: Logic+Logic thermals — baseline, repaired 3D, worst case.
 
-Paper values: 2D baseline 98.6 C; 3D floorplan (15% power saving, ~1.3x
-peak density after hotspot repair) 112.5 C; worst case (no savings, 2x
-density) 124.75 C.
+Paper: the 3D floorplan (15% power saving, ~1.3x peak density after
+hotspot repair) runs moderately hotter than the 2D baseline, and the
+worst case (no savings, 2x density) far hotter.  The values, tolerances
+and the ordering rule are the registry's ``figure-11`` targets.
 """
 
 import pytest
 
-from conftest import BENCH_GRID, run_once
+from conftest import BENCH_GRID, assert_targets, run_once
 from repro.analysis import compare_to_paper
+from repro.core.experiments import get_experiment
 from repro.core.logic_on_logic import run_thermal_study
 
-PAPER = {
-    "2D Baseline": 98.6,
-    "3D": 112.5,
-    "3D Worstcase": 124.75,
-}
+FIGURE11 = get_experiment("figure-11")
 
 
 @pytest.fixture(scope="module")
@@ -27,37 +25,25 @@ def test_fig11_regenerate(benchmark):
     temps = run_once(benchmark, run_thermal_study, BENCH_GRID)
     for name, value in temps.items():
         benchmark.extra_info[name] = value
-    print("\n" + compare_to_paper(PAPER, temps, unit="C",
+    print("\n" + compare_to_paper(FIGURE11.paper_values, temps, unit="C",
                                   title="Figure 11: peak temperatures"))
-    assert temps["2D Baseline"] == pytest.approx(98.6, abs=2.0)
-    assert temps["3D"] == pytest.approx(112.5, abs=6.0)
-    assert temps["3D Worstcase"] == pytest.approx(124.75, abs=3.5)
-    assert temps["2D Baseline"] < temps["3D"] < temps["3D Worstcase"]
+    assert_targets(FIGURE11, temps)
 
 
 class TestFigure11Values:
-    def test_baseline_matches(self, figure11_temps):
-        assert figure11_temps["2D Baseline"] == pytest.approx(98.6, abs=2.0)
-
-    def test_worstcase_matches(self, figure11_temps):
-        assert figure11_temps["3D Worstcase"] == pytest.approx(
-            124.75, abs=3.5
-        )
-
-    def test_3d_between(self, figure11_temps):
-        # Our repaired 3D floorplan lands a few degrees cooler than the
-        # paper's 112.5 C (see EXPERIMENTS.md); the required shape is a
-        # moderate rise over 2D, far below the worst case.
-        assert figure11_temps["3D"] == pytest.approx(112.5, abs=6.0)
-        assert (
-            figure11_temps["2D Baseline"]
-            < figure11_temps["3D"]
-            < figure11_temps["3D Worstcase"]
-        )
+    # Our repaired 3D floorplan lands a few degrees cooler than the
+    # paper's (see EXPERIMENTS.md): its target passes within 3 C and
+    # holds a hard bound of 6 C.
+    @pytest.mark.parametrize(
+        "target", FIGURE11.targets, ids=lambda target: target.name
+    )
+    def test_target(self, figure11_temps, target):
+        assert_targets(FIGURE11, figure11_temps, [target])
 
     def test_worstcase_rise_dominates(self, figure11_temps):
+        # Paper: the worst case rises nearly twice as far as the 3D.
         rise_3d = figure11_temps["3D"] - figure11_temps["2D Baseline"]
         rise_worst = (
             figure11_temps["3D Worstcase"] - figure11_temps["2D Baseline"]
         )
-        assert rise_worst > 1.8 * rise_3d  # paper: 26.2 vs 13.9
+        assert rise_worst > 1.8 * rise_3d

@@ -1,19 +1,27 @@
 """Figure 6: the planar Core 2 Duo power map and thermal map.
 
-Paper values: two hottest spots at 88.35 C (FP / reservation stations /
-load-store units), coolest on-die area at 59 C, with a 92 W skew, desktop
-cooling, and 40 C ambient.
+Paper: the two hottest spots (FP / reservation stations / load-store
+units) and the coolest on-die area, with a 92 W skew, desktop cooling,
+and 40 C ambient; the values and tolerances are the registry's
+``figure-6`` targets.
 """
 
 import pytest
 
-from conftest import BENCH_GRID, run_once
+from conftest import BENCH_GRID, assert_targets, run_once
 from repro.analysis import ascii_heatmap
+from repro.core.experiments import get_experiment
 from repro.floorplan import core2duo_floorplan
 from repro.thermal import simulate_planar
 
-PAPER_PEAK_C = 88.35
-PAPER_COOLEST_C = 59.0
+FIGURE6 = get_experiment("figure-6")
+
+
+def _result(solution):
+    return {
+        "peak_c": solution.peak_temperature(),
+        "coolest_c": solution.coolest_on_die(),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -25,28 +33,22 @@ def test_fig6_regenerate(benchmark):
     solution = run_once(
         benchmark, simulate_planar, core2duo_floorplan(), BENCH_GRID
     )
-    benchmark.extra_info["peak_c"] = solution.peak_temperature()
-    benchmark.extra_info["coolest_c"] = solution.coolest_on_die()
+    result = _result(solution)
+    benchmark.extra_info.update(result)
     print("\nFigure 6b: baseline thermal map (active layer)")
     print(ascii_heatmap(solution.die_map("metal-1"), width=48))
-    print(f"  peak    {solution.peak_temperature():6.2f} C "
-          f"(paper {PAPER_PEAK_C})")
-    print(f"  coolest {solution.coolest_on_die():6.2f} C "
-          f"(paper {PAPER_COOLEST_C})")
-    assert solution.peak_temperature() == pytest.approx(PAPER_PEAK_C, abs=2.0)
-    assert solution.coolest_on_die() == pytest.approx(PAPER_COOLEST_C, abs=2.0)
+    for target in FIGURE6.targets:
+        paper, measured, _ = FIGURE6.grade(target, result)
+        print(f"  {target.name:22} {measured:6.2f} (paper {paper:g})")
+    assert_targets(FIGURE6, result)
 
 
 class TestFigure6Values:
-    def test_peak_matches_paper(self, figure6_solution):
-        assert figure6_solution.peak_temperature() == pytest.approx(
-            PAPER_PEAK_C, abs=2.0
-        )
-
-    def test_coolest_matches_paper(self, figure6_solution):
-        assert figure6_solution.coolest_on_die() == pytest.approx(
-            PAPER_COOLEST_C, abs=2.0
-        )
+    @pytest.mark.parametrize(
+        "target", FIGURE6.targets, ids=lambda target: target.name
+    )
+    def test_matches_paper(self, figure6_solution, target):
+        assert_targets(FIGURE6, _result(figure6_solution), [target])
 
     def test_hotspot_in_core_region(self, figure6_solution):
         import numpy as np

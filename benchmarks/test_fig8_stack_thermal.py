@@ -1,23 +1,19 @@
 """Figure 8: peak temperatures of the four Memory+Logic configurations.
 
-Paper values: 2D 4MB = 88.35 C, 3D 12MB = 92.85 C, 3D 32MB = 88.43 C,
-3D 64MB = 90.27 C — stacking SRAM costs the most (higher power density),
-and the 32 MB DRAM stack is thermally almost free (+0.08 C), the
-Section 3 headline.
+Paper: stacking SRAM costs the most (higher power density), and the
+32 MB DRAM stack is thermally almost free (+0.08 C over the 2D
+baseline), the Section 3 headline.  The per-configuration values and
+tolerances are the registry's ``figure-8`` targets.
 """
 
 import pytest
 
-from conftest import BENCH_GRID, run_once
+from conftest import BENCH_GRID, assert_targets, run_once
 from repro.analysis import compare_to_paper
+from repro.core.experiments import get_experiment
 from repro.core.memory_on_logic import run_thermal_study
 
-PAPER = {
-    "2D 4MB": 88.35,
-    "3D 12MB": 92.85,
-    "3D 32MB": 88.43,
-    "3D 64MB": 90.27,
-}
+FIGURE8 = get_experiment("figure-8")
 
 
 @pytest.fixture(scope="module")
@@ -29,23 +25,21 @@ def test_fig8_regenerate(benchmark):
     temps = run_once(benchmark, run_thermal_study, BENCH_GRID)
     for name, value in temps.items():
         benchmark.extra_info[name] = value
-    print("\n" + compare_to_paper(PAPER, temps, unit="C",
+    print("\n" + compare_to_paper(FIGURE8.paper_values, temps, unit="C",
                                   title="Figure 8a: peak temperatures"))
-    for name, value in PAPER.items():
-        assert temps[name] == pytest.approx(value, abs=2.5), name
+    assert_targets(FIGURE8, temps)
     assert abs(temps["3D 32MB"] - temps["2D 4MB"]) < 1.5
 
 
 class TestFigure8Values:
-    @pytest.mark.parametrize("name", list(PAPER))
-    def test_config_matches_paper(self, figure8_temps, name):
-        assert figure8_temps[name] == pytest.approx(PAPER[name], abs=2.5)
-
-    def test_sram_stack_is_hottest(self, figure8_temps):
-        assert figure8_temps["3D 12MB"] == max(figure8_temps.values())
+    @pytest.mark.parametrize(
+        "target", FIGURE8.targets, ids=lambda target: target.name
+    )
+    def test_target(self, figure8_temps, target):
+        assert_targets(FIGURE8, figure8_temps, [target])
 
     def test_dram32_is_thermally_negligible(self, figure8_temps):
-        # Paper: +0.08 C.  Allow +-1.5 C: "negligible" is the claim.
+        # Allow +-1.5 C: "negligible" is the claim.
         delta = figure8_temps["3D 32MB"] - figure8_temps["2D 4MB"]
         assert abs(delta) < 1.5
 

@@ -323,48 +323,33 @@ def render_all_figures(
     ``figure8.svg``, and ``figure11.svg``.
     """
     from repro.core.experiments import get_experiment
-    from repro.core.logic_on_logic import (
-        run_thermal_study as logic_thermals,
-    )
-    from repro.core.memory_on_logic import (
-        run_performance_study,
-        run_thermal_study as memory_thermals,
-    )
-    from repro.thermal.solver import SolverConfig
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
-
-    fig3 = get_experiment("figure-3").run(nx=nx)
-    written.append(render_figure3(fig3, out / "figure3.svg"))
-
-    memory = run_performance_study(
+    written = [
+        render_figure3(
+            get_experiment("figure-3").run(nx=nx), out / "figure3.svg"
+        )
+    ]
+    memory = get_experiment("figure-5").run(
         workloads=workloads, scale=scale, length_factor=length_factor
     )
     written.extend(
         render_figure5(
-            memory.cpma, memory.bandwidth,
+            memory["cpma"], memory["bandwidth"],
             out / "figure5_cpma.svg", out / "figure5_bw.svg",
         )
     )
-
-    grid = SolverConfig(nx=nx, ny=nx)
-    fig8_paper = {"2D 4MB": 88.35, "3D 12MB": 92.85, "3D 32MB": 88.43,
-                  "3D 64MB": 90.27}
-    written.append(
-        render_paper_comparison_bars(
-            memory_thermals(grid), fig8_paper,
-            "Figure 8a: peak temperature by configuration",
-            "peak C", out / "figure8.svg",
-        )
-    )
-    fig11_paper = {"2D Baseline": 98.6, "3D": 112.5, "3D Worstcase": 124.75}
-    written.append(
-        render_paper_comparison_bars(
-            logic_thermals(grid), fig11_paper,
-            "Figure 11: Logic+Logic peak temperature",
-            "peak C", out / "figure11.svg",
-        )
-    )
+    for experiment_id, title, name in (
+        ("figure-8", "Figure 8a: peak temperature by configuration",
+         "figure8.svg"),
+        ("figure-11", "Figure 11: Logic+Logic peak temperature",
+         "figure11.svg"),
+    ):
+        experiment = get_experiment(experiment_id)
+        temps = experiment.run(nx=nx)
+        del temps["solver"]
+        written.append(render_paper_comparison_bars(
+            temps, experiment.paper_values, title, "peak C", out / name,
+        ))
     return written

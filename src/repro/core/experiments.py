@@ -16,7 +16,9 @@ import random
 import time
 import traceback
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from functools import reduce
+from operator import getitem
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.oracles.report import oracle_report, reset_oracles
 from repro.resilience.errors import ReproError
@@ -42,6 +44,38 @@ def task_fingerprint(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+#: Grades of a :class:`Target` check.
+PASS, SHAPE, FAIL = "pass", "shape", "fail"
+
+Result = Dict[str, Any]
+
+
+@dataclass(frozen=True)
+class Target:
+    """One graded number: the published value, ours, and the rule.
+
+    ``paper`` is the key path of the published number in the
+    ``paper_values`` of entry ``source`` (default: the target's own), and
+    ``scale`` converts its unit; ``measured`` reads ours from the run's
+    result (default: the same key path).  Within ``max(tol, rel *
+    |paper|)`` the check passes; beyond that it grades ``shape``, or
+    fails past the hard ``bound`` if one is set.  A target without
+    ``paper`` is shape-only (an ordering or a threshold): it passes iff
+    ``holds(result)``.
+    """
+
+    name: str
+    paper: Tuple[str, ...] = ()
+    measured: Optional[Callable[[Result], float]] = None
+    tol: float = 0.0
+    rel: float = 0.0
+    bound: Optional[float] = None
+    scale: float = 1.0
+    holds: Optional[Callable[[Result], bool]] = None
+    source: str = ""
+    note: str = ""
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One reproducible table/figure.
@@ -49,14 +83,50 @@ class Experiment:
     Attributes:
         id: Paper artifact id, e.g. ``"figure-5"``.
         title: What the paper reports.
-        paper_values: The published numbers (for comparison output).
+        paper_values: The published numbers.
         run: Callable producing measured values.
+        targets: What a run is graded against (see :class:`Target`).
     """
 
     id: str
     title: str
     paper_values: Dict[str, Any]
     run: Callable[..., Dict[str, Any]]
+    targets: Tuple[Target, ...] = ()
+
+    def target(self, name: str) -> Target:
+        """The target labelled *name*."""
+        for target in self.targets:
+            if target.name == name:
+                return target
+        raise KeyError(f"{self.id} has no target {name!r}")
+
+    def grade(
+        self, target: Target, result: Result
+    ) -> Tuple[Optional[float], float, str]:
+        """``(paper, measured, grade)`` of *target* against a run result."""
+        measured = float(
+            target.measured(result) if target.measured
+            else reduce(getitem, target.paper, result)
+        )
+        if not target.paper:
+            return None, measured, PASS if target.holds(result) else FAIL
+        source = REGISTRY.get(target.source) if target.source else self
+        paper = target.scale * reduce(
+            getitem, target.paper, source.paper_values
+        )
+        deviation = abs(measured - paper)
+        if deviation <= max(target.tol, target.rel * abs(paper)):
+            return paper, measured, PASS
+        if target.bound is None or deviation <= target.bound:
+            return paper, measured, SHAPE
+        return paper, measured, FAIL
+
+    def accepts(self, target: Target, result: Result) -> bool:
+        """The benchmarks' rule at the calibration grid: *target* passes,
+        or stays inside its hard bound."""
+        grade = self.grade(target, result)[2]
+        return grade == PASS or (grade == SHAPE and target.bound is not None)
 
 
 @dataclass
@@ -194,32 +264,32 @@ def _run_figure6(**kwargs: Any) -> Dict[str, Any]:
     }
 
 
-def _run_figure8(**kwargs: Any) -> Dict[str, Any]:
-    """Figure 8: peak temperature of the four Memory+Logic stack configs."""
-    from repro.core.memory_on_logic import run_thermal_study
+def _peak_temperatures(
+    study: Callable[..., Dict[str, float]], nx: int
+) -> Dict[str, Any]:
+    """A thermal study's peak temperatures plus per-config solver info."""
     from repro.thermal.solver import SolverConfig
 
-    nx = kwargs.get("nx", 48)
     meta: Dict[str, Dict[str, Any]] = {}
     result: Dict[str, Any] = dict(
-        run_thermal_study(SolverConfig(nx=nx, ny=nx), solver_meta=meta)
+        study(SolverConfig(nx=nx, ny=nx), solver_meta=meta)
     )
     result["solver"] = meta
     return result
+
+
+def _run_figure8(**kwargs: Any) -> Dict[str, Any]:
+    """Figure 8: peak temperature of the four Memory+Logic stack configs."""
+    from repro.core.memory_on_logic import run_thermal_study
+
+    return _peak_temperatures(run_thermal_study, kwargs.get("nx", 48))
 
 
 def _run_figure11(**kwargs: Any) -> Dict[str, Any]:
     """Figure 11: Logic+Logic thermals (2D baseline / 3D / 3D worst case)."""
     from repro.core.logic_on_logic import run_thermal_study
-    from repro.thermal.solver import SolverConfig
 
-    nx = kwargs.get("nx", 48)
-    meta: Dict[str, Dict[str, Any]] = {}
-    result: Dict[str, Any] = dict(
-        run_thermal_study(SolverConfig(nx=nx, ny=nx), solver_meta=meta)
-    )
-    result["solver"] = meta
-    return result
+    return _peak_temperatures(run_thermal_study, kwargs.get("nx", 48))
 
 
 def _run_table4(**kwargs: Any) -> Dict[str, Any]:
@@ -244,20 +314,7 @@ def _run_table5(**kwargs: Any) -> Dict[str, Any]:
         solver=SolverConfig(nx=nx, ny=nx),
         solve_temp_point=kwargs.get("solve_temp_point", False),
     )
-    return {
-        "rows": [
-            {
-                "name": p.name,
-                "vcc": p.vcc,
-                "freq": p.freq,
-                "power_w": p.power_w,
-                "power_pct": p.power_pct,
-                "perf_pct": p.perf_pct,
-                "temp_c": p.temp_c,
-            }
-            for p in result.table5
-        ]
-    }
+    return {"rows": [asdict(p) for p in result.table5]}
 
 
 def _run_table5_dynamic(**kwargs: Any) -> Dict[str, Any]:
@@ -310,11 +367,8 @@ def _run_dtm_load_spike(**kwargs: Any) -> Dict[str, Any]:
     """
     from repro.coupled import (
         CoupledConfig,
-        NoDtm,
-        PidDtm,
-        PredictiveDtm,
-        ThresholdDtm,
         bursty_load_spikes,
+        dtm_policies,
         run_coupled_loop,
     )
 
@@ -326,16 +380,10 @@ def _run_dtm_load_spike(**kwargs: Any) -> Dict[str, Any]:
         start="steady",
     )
     load = bursty_load_spikes(seed=kwargs.get("seed", 0))
-    # Per-policy knobs: the threshold actuator slews 3%/epoch to keep
-    # pace with the ramp; the PID needs the widest guard because it is
-    # purely reactive (no lookahead, no immediate full-range actuation).
-    policies = [
-        NoDtm(),
-        ThresholdDtm(vcc_step=0.03),
-        PidDtm(guard_c=6.0),
-        PredictiveDtm(),
-    ]
-    runs = {p.name: run_coupled_loop(p, load, config) for p in policies}
+    runs = {
+        p.name: run_coupled_loop(p, load, config)
+        for p in dtm_policies(spike=True)
+    }
     return {
         "ceiling_c": runs["none"].ceiling_c,
         "policies": {name: r.summary() for name, r in runs.items()},
@@ -358,11 +406,8 @@ def _run_dtm_policy_compare(**kwargs: Any) -> Dict[str, Any]:
     """
     from repro.coupled import (
         CoupledConfig,
-        NoDtm,
-        PidDtm,
-        PredictiveDtm,
-        ThresholdDtm,
         constant_load,
+        dtm_policies,
         run_coupled_loop,
     )
 
@@ -376,7 +421,7 @@ def _run_dtm_policy_compare(**kwargs: Any) -> Dict[str, Any]:
     load = constant_load(1.0)
     summaries = [
         run_coupled_loop(policy, load, config).summary()
-        for policy in (NoDtm(), ThresholdDtm(), PidDtm(), PredictiveDtm())
+        for policy in dtm_policies()
     ]
     return {"policies": summaries}
 
@@ -406,6 +451,35 @@ def _run_headlines(**kwargs: Any) -> Dict[str, Any]:
     return headlines
 
 
+def _cpma_drop(workload: str, config: str) -> Callable[[Result], float]:
+    """Percent CPMA reduction of *workload* at *config* vs 2D 4MB."""
+    return lambda r: 100.0 * (
+        1 - r["cpma"][workload][config] / r["cpma"][workload]["2D 4MB"]
+    )
+
+
+def capacity_winner(workload: str) -> Target:
+    """Figure 5 shape: *workload*'s CPMA falls over 25% at 32 MB."""
+    drop = _cpma_drop(workload, "3D 32MB")
+    return Target(f"{workload} improves dramatically", measured=drop,
+                  holds=lambda r: drop(r) > 25.0, note="capacity winner")
+
+
+def fits_baseline(workload: str) -> Target:
+    """Figure 5 shape: *workload* fits 4 MB, so 12 MB gains it under 5%."""
+    gain = _cpma_drop(workload, "3D 12MB")
+    return Target(f"{workload} gains nothing from 12MB", measured=gain,
+                  holds=lambda r: gain(r) < 5.0, note="fits the 4MB baseline")
+
+
+_MEMORY_CONFIGS = ("2D 4MB", "3D 12MB", "3D 32MB", "3D 64MB")
+_TABLE4_AREAS = (
+    "front_end", "trace_cache", "rename_alloc", "fp_wire", "int_rf_read",
+    "data_cache_read", "instruction_loop", "retire_dealloc", "fp_load",
+    "store_lifetime",
+)
+_TABLE5_COLUMNS = (("power_w", "power (W)", 1.5), ("perf_pct", "perf (%)", 1.0))
+
 REGISTRY = ExperimentRegistry()
 for _experiment in [
         Experiment(
@@ -428,12 +502,29 @@ for _experiment in [
                 "winners": ["gauss", "pcg", "smvm", "strans", "sus", "svm"],
             },
             run=_run_figure5,
+            targets=(
+                Target("max CPMA reduction at 32MB (%)",
+                       ("max_cpma_reduction_32mb",), tol=12.0, scale=100.0,
+                       measured=lambda r: 100.0 * r["max_cpma_reduction_32mb"]),
+                capacity_winner("gauss"),
+                capacity_winner("sus"),
+                fits_baseline("ssym"),
+                fits_baseline("savdf"),
+                Target("bus power reduction (%)",
+                       ("memory_bus_power_reduction_pct",), source="headlines",
+                       tol=20.0,
+                       measured=lambda r: 100.0 * r["bus_power_reduction_32mb"]),
+            ),
         ),
         Experiment(
             id="figure-6",
             title="Baseline Core 2 Duo thermal map",
             paper_values={"peak_c": 88.35, "coolest_c": 59.0},
             run=_run_figure6,
+            targets=(
+                Target("peak temperature (C)", ("peak_c",), tol=2.0),
+                Target("coolest on-die (C)", ("coolest_c",), tol=2.0),
+            ),
         ),
         Experiment(
             id="figure-8",
@@ -445,6 +536,15 @@ for _experiment in [
                 "3D 64MB": 90.27,
             },
             run=_run_figure8,
+            targets=(
+                *(Target(f"{config} peak (C)", (config,), tol=2.5)
+                  for config in _MEMORY_CONFIGS),
+                Target("SRAM stack is the hottest option",
+                       measured=lambda r: r["3D 12MB"],
+                       holds=lambda r: r["3D 12MB"] == max(
+                           r[config] for config in _MEMORY_CONFIGS),
+                       note="ordering check"),
+            ),
         ),
         Experiment(
             id="figure-11",
@@ -455,6 +555,18 @@ for _experiment in [
                 "3D Worstcase": 124.75,
             },
             run=_run_figure11,
+            targets=(
+                Target("2D baseline (C)", ("2D Baseline",), tol=2.0),
+                Target("3D floorplan (C)", ("3D",), tol=3.0, bound=6.0,
+                       note="repaired floorplan runs cooler; "
+                            "see EXPERIMENTS.md"),
+                Target("3D worst case (C)", ("3D Worstcase",), tol=3.5),
+                Target("baseline < 3D < worst case",
+                       measured=lambda r: r["3D"],
+                       holds=lambda r: (r["2D Baseline"] < r["3D"]
+                                        < r["3D Worstcase"]),
+                       note="ordering check"),
+            ),
         ),
         Experiment(
             id="table-4",
@@ -474,6 +586,15 @@ for _experiment in [
                 "stages_eliminated": 25.0,
             },
             run=_run_table4,
+            targets=(
+                *(Target(f"{area} gain (%)", (area,), tol=0.35, rel=0.2,
+                         measured=lambda r, a=area: r["per_row_gains_pct"][a])
+                  for area in _TABLE4_AREAS),
+                Target("total gain (%)", ("total",), tol=1.0, bound=1.0,
+                       measured=lambda r: r["total_gain_pct"]),
+                Target("stages eliminated (%)", ("stages_eliminated",),
+                       tol=3.0, measured=lambda r: r["stages_eliminated_pct"]),
+            ),
         ),
         Experiment(
             id="table-5",
@@ -486,6 +607,13 @@ for _experiment in [
                 "Same Perf.": dict(power_w=68.2, perf_pct=100, temp_c=77, vcc=0.82, freq=0.82),
             },
             run=_run_table5,
+            targets=tuple(
+                Target(f"{row} {label}", (row, column), tol=tol, bound=tol,
+                       measured=lambda r, row=row, column=column: next(
+                           x[column] for x in r["rows"] if x["name"] == row))
+                for row in ("Same Pwr", "Same Freq.", "Same Temp", "Same Perf.")
+                for column, label, tol in _TABLE5_COLUMNS
+            ),
         ),
         Experiment(
             id="table5_dynamic",
@@ -526,12 +654,13 @@ for _experiment in [
                 "memory_bus_power_reduction_pct": 66.0,
             },
             run=_run_headlines,
+            targets=(
+                Target("logic power reduction (%)",
+                       ("logic_power_reduction_pct",), tol=1.0, bound=1.0),
+            ),
         ),
 ]:
     REGISTRY.register(_experiment)
-
-#: Backward-compatible dict view of the registry.
-EXPERIMENTS: Dict[str, Experiment] = {e.id: e for e in REGISTRY}
 
 
 def get_experiment(experiment_id: str) -> Experiment:

@@ -20,6 +20,7 @@ from repro.coupled.dtm import (
     PidDtm,
     PredictiveDtm,
     ThresholdDtm,
+    dtm_policies,
     make_policy,
 )
 from repro.coupled.engine import (
@@ -42,6 +43,7 @@ __all__ = [
     "PidDtm",
     "PredictiveDtm",
     "ThresholdDtm",
+    "dtm_policies",
     "make_policy",
     "CoupledConfig",
     "CoupledResult",

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import List
 
 from repro.uarch.dvfs import power_3d_w
 
@@ -283,3 +284,17 @@ def make_policy(name: str, **kwargs: object) -> DtmPolicy:
             f"unknown DTM policy {name!r}; known: {sorted(policies)}"
         ) from None
     return cls(**kwargs)  # type: ignore[arg-type]
+
+
+def dtm_policies(spike: bool = False) -> List[DtmPolicy]:
+    """A fresh instance of every policy, the no-DTM control first.
+
+    *spike* tunes them for bursty load spikes: the threshold actuator
+    slews 3%/epoch to keep pace with the ramp, and the PID gets the
+    widest guard because it is purely reactive (no lookahead, no
+    immediate full-range actuation).
+    """
+    if spike:
+        return [NoDtm(), ThresholdDtm(vcc_step=0.03), PidDtm(guard_c=6.0),
+                PredictiveDtm()]
+    return [NoDtm(), ThresholdDtm(), PidDtm(), PredictiveDtm()]

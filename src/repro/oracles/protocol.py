@@ -186,26 +186,10 @@ def gateway_response_problems(
     return problems
 
 
-def token_bucket_problems(
-    observations: Sequence[Mapping[str, Any]], burst: float
-) -> List[str]:
-    """Bucket levels observed by the sim stay within ``[0, burst]``."""
-    problems: List[str] = []
-    for i, obs in enumerate(observations):
-        tokens = float(obs.get("tokens", 0.0))
-        if tokens < -1e-9 or tokens > burst + 1e-9:
-            problems.append(
-                f"token bucket observation {i}: level {tokens} outside "
-                f"[0, {burst}]"
-            )
-    return problems
-
-
 __all__ = [
     "GATEWAY_STATUSES",
     "breaker_transition_problems",
     "gateway_response_problems",
     "journal_protocol_problems",
     "report_conservation_problems",
-    "token_bucket_problems",
 ]

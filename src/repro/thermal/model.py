@@ -34,20 +34,3 @@ def simulate_stack(
     """
     stack = build_3d_stack(die_near_sink, die_near_bumps, die2_metal=die2_metal)
     return solve_steady_state(stack, config)
-
-
-def peak_temperature_planar(
-    die: Floorplan, config: Optional[SolverConfig] = None
-) -> float:
-    """Peak on-die temperature of a planar configuration, Celsius."""
-    return simulate_planar(die, config).peak_temperature()
-
-
-def peak_temperature_stack(
-    die_near_sink: Floorplan,
-    die_near_bumps: Floorplan,
-    die2_metal: str = "cu",
-    config: Optional[SolverConfig] = None,
-) -> float:
-    """Peak on-die temperature of a two-die stack, Celsius."""
-    return simulate_stack(die_near_sink, die_near_bumps, die2_metal, config).peak_temperature()

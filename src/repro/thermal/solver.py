@@ -709,15 +709,10 @@ def _power_rhs(stack: ThermalStack, operator: ThermalOperator) -> np.ndarray:
             total = layer.power_plan.total_power
             # Guard: NaN power used to vanish silently here (NaN > 0 is
             # False), solving an unpowered stack without complaint.
-            if (
-                not np.all(np.isfinite(raster))
-                or not np.isfinite(total)
-                or (raster.size and raster.min() < 0)
-                or total < 0
-            ):
+            # Negative power cannot reach this point: Block rejects it.
+            if not (np.all(np.isfinite(raster)) and np.isfinite(total)):
                 raise GuardViolation(
-                    f"layer {layer.name!r} has a non-finite or negative "
-                    "power map",
+                    f"layer {layer.name!r} has a non-finite power map",
                     guard="power-map",
                 )
             if raster.sum() > 0:
@@ -786,6 +781,8 @@ def _solve_lu(system: DiscreteSystem) -> np.ndarray:
             operator.steady_lu = lu
     flat = lu.solve(system.rhs)
     if not np.all(np.isfinite(flat)):
+        if operator is not None:
+            operator.steady_lu = None  # refactorize next time, not re-run
         raise SolverDivergenceError(
             "LU solve produced non-finite temperatures", method="lu"
         )
@@ -832,7 +829,7 @@ def solve_steady_state(
         and :attr:`~ThermalSolution.method` populated.
 
     Raises:
-        GuardViolation: a layer's power map is non-finite or negative.
+        GuardViolation: a layer's power map is non-finite.
         SolverDivergenceError: LU failed and the CG fallback did not
             converge (``method="cg"``; the LU error is its context).
     """

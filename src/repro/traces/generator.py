@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -216,10 +216,3 @@ def generate_trace(
         params=params,
     )
     return list(TraceGenerator(spec, scale=scale).records())
-
-
-def rms_workloads() -> Dict[str, str]:
-    """Table 1: workload name -> description."""
-    from repro.traces.kernels.registry import KERNELS
-
-    return {name: entry.description for name, entry in KERNELS.items()}

@@ -1,23 +1,28 @@
 """Acceptance harness: run every experiment and grade it against the paper.
 
 Produces the machine-readable counterpart of EXPERIMENTS.md: one
-:class:`Check` per compared quantity, each graded ``pass`` (within
-tolerance), ``shape`` (ordering/direction reproduced but the absolute
-value deviates — acceptable per DESIGN.md's reproduction contract), or
-``fail``.  Driven by ``python -m repro validate`` and by the integration
-test suite.
+:class:`Check` per :class:`~repro.core.experiments.Target` of each
+registered experiment, graded ``pass`` (within tolerance), ``shape``
+(ordering/direction reproduced but the absolute value deviates —
+acceptable per DESIGN.md's reproduction contract), or ``fail``.  The
+published values, tolerances and rules all live in the registry.
+Driven by ``python -m repro validate`` and by the integration test
+suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
+from repro.core.experiments import (
+    FAIL,
+    PASS,
+    SHAPE,
+    get_experiment,
+    list_experiments,
+)
 from repro.thermal.solver import SolverConfig
-
-PASS = "pass"
-SHAPE = "shape"
-FAIL = "fail"
 
 
 @dataclass(frozen=True)
@@ -80,144 +85,17 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _grade(
-    report: ValidationReport,
-    experiment: str,
-    name: str,
-    paper: float,
-    measured: float,
-    abs_tol: float,
-    shape_ok: bool = True,
-    note: str = "",
+def validate_experiment(
+    report: ValidationReport, experiment_id: str, **kwargs: Any
 ) -> None:
-    """Grade one quantity: within tolerance -> pass; else shape/fail."""
-    if abs(measured - paper) <= abs_tol:
-        grade = PASS
-    elif shape_ok:
-        grade = SHAPE
-    else:
-        grade = FAIL
-    report.add(Check(experiment, name, paper, measured, grade, note))
-
-
-def validate_thermals(
-    report: ValidationReport, grid: SolverConfig
-) -> None:
-    """Figures 6, 8, and 11: the thermal operating points."""
-    from repro.core.logic_on_logic import run_thermal_study as logic_thermals
-    from repro.core.memory_on_logic import (
-        run_thermal_study as memory_thermals,
-    )
-    from repro.floorplan import core2duo_floorplan
-    from repro.thermal import simulate_planar
-
-    baseline = simulate_planar(core2duo_floorplan(), grid)
-    _grade(report, "figure-6", "peak temperature (C)", 88.35,
-           baseline.peak_temperature(), abs_tol=2.0)
-    _grade(report, "figure-6", "coolest on-die (C)", 59.0,
-           baseline.coolest_on_die(), abs_tol=2.0)
-
-    temps = memory_thermals(grid)
-    for name, paper in (("2D 4MB", 88.35), ("3D 12MB", 92.85),
-                        ("3D 32MB", 88.43), ("3D 64MB", 90.27)):
-        _grade(report, "figure-8", f"{name} peak (C)", paper,
-               temps[name], abs_tol=2.5)
-    ordering_ok = temps["3D 12MB"] == max(temps.values())
-    report.add(Check(
-        "figure-8", "SRAM stack is the hottest option", None,
-        temps["3D 12MB"], PASS if ordering_ok else FAIL,
-        "ordering check",
-    ))
-
-    logic = logic_thermals(grid)
-    _grade(report, "figure-11", "2D baseline (C)", 98.6,
-           logic["2D Baseline"], abs_tol=2.0)
-    _grade(report, "figure-11", "3D floorplan (C)", 112.5,
-           logic["3D"], abs_tol=3.0,
-           note="repaired floorplan runs cooler; see EXPERIMENTS.md")
-    _grade(report, "figure-11", "3D worst case (C)", 124.75,
-           logic["3D Worstcase"], abs_tol=3.5)
-    monotone = logic["2D Baseline"] < logic["3D"] < logic["3D Worstcase"]
-    report.add(Check(
-        "figure-11", "baseline < 3D < worst case", None, logic["3D"],
-        PASS if monotone else FAIL, "ordering check",
-    ))
-
-
-def validate_logic_performance(report: ValidationReport) -> None:
-    """Table 4 and the Section 4 power/performance headlines."""
-    from repro.core.logic_on_logic import run_performance_study
-
-    result = run_performance_study()
-    targets = {
-        "front_end": 0.2, "trace_cache": 0.33, "rename_alloc": 0.66,
-        "fp_wire": 4.0, "int_rf_read": 0.5, "data_cache_read": 1.5,
-        "instruction_loop": 1.0, "retire_dealloc": 1.0, "fp_load": 2.0,
-        "store_lifetime": 3.0,
-    }
-    for area, paper in targets.items():
-        _grade(report, "table-4", f"{area} gain (%)", paper,
-               result.per_row_gains[area],
-               abs_tol=max(0.35, paper * 0.2))
-    _grade(report, "table-4", "total gain (%)", 15.0,
-           result.total_gain_pct, abs_tol=1.0, shape_ok=False)
-    _grade(report, "table-4", "stages eliminated (%)", 25.0,
-           result.stages_eliminated_pct, abs_tol=3.0)
-    _grade(report, "headlines", "logic power reduction (%)", 15.0,
-           result.power_reduction_pct, abs_tol=1.0, shape_ok=False)
-
-
-def validate_dvfs(report: ValidationReport, grid: SolverConfig) -> None:
-    """Table 5's power/performance columns (the exact-arithmetic rows)."""
-    from repro.core.logic_on_logic import thermal_map_3d_power
-    from repro.uarch.dvfs import table5_points
-
-    rows = {p.name: p for p in table5_points(thermal_map_3d_power(grid))}
-    expectations = {
-        "Same Pwr": (147.0, 129.0),
-        "Same Freq.": (125.0, 115.0),
-        "Same Temp": (97.28, 108.0),
-        "Same Perf.": (68.2, 100.0),
-    }
-    for name, (power, perf) in expectations.items():
-        _grade(report, "table-5", f"{name} power (W)", power,
-               rows[name].power_w, abs_tol=1.5, shape_ok=False)
-        _grade(report, "table-5", f"{name} perf (%)", perf,
-               rows[name].perf_pct, abs_tol=1.0, shape_ok=False)
-
-
-def validate_memory(
-    report: ValidationReport,
-    scale: int = 16,
-    length_factor: float = 0.5,
-) -> None:
-    """Figure 5's shape on a representative workload subset."""
-    from repro.core.memory_on_logic import run_performance_study
-
-    result = run_performance_study(
-        workloads=["gauss", "sus", "svm", "ssym", "savdf"],
-        scale=scale,
-        length_factor=length_factor,
-    )
-    _grade(report, "figure-5", "max CPMA reduction at 32MB (%)", 55.0,
-           100.0 * result.max_cpma_reduction(), abs_tol=12.0)
-    for winner in ("gauss", "sus"):
-        row = result.cpma[winner]
-        reduction = 100.0 * (1 - row["3D 32MB"] / row["2D 4MB"])
+    """Run one registered experiment and grade it against its targets."""
+    experiment = get_experiment(experiment_id)
+    result = experiment.run(**kwargs)
+    for target in experiment.targets:
+        paper, measured, grade = experiment.grade(target, result)
         report.add(Check(
-            "figure-5", f"{winner} improves dramatically", None, reduction,
-            PASS if reduction > 25.0 else FAIL, "capacity winner",
+            experiment_id, target.name, paper, measured, grade, target.note,
         ))
-    for fitter in ("ssym", "savdf"):
-        row = result.cpma[fitter]
-        gain_12 = 100.0 * (1 - row["3D 12MB"] / row["2D 4MB"])
-        report.add(Check(
-            "figure-5", f"{fitter} gains nothing from 12MB", None, gain_12,
-            PASS if gain_12 < 5.0 else FAIL, "fits the 4MB baseline",
-        ))
-    bw_reduction = 100.0 * result.bus_power_reduction()
-    _grade(report, "figure-5", "bus power reduction (%)", 66.0,
-           bw_reduction, abs_tol=20.0)
 
 
 def run_validation(
@@ -226,12 +104,28 @@ def run_validation(
     length_factor: float = 0.5,
     include_memory: bool = True,
 ) -> ValidationReport:
-    """Run the full acceptance suite; see the module docstring."""
+    """Grade every registered experiment that declares targets.
+
+    Thermal experiments run on *grid*; figure 5 runs a representative
+    workload subset at *scale* and *length_factor* (skipped unless
+    *include_memory*); the headlines skip their thermal solve.
+    """
     grid = grid or SolverConfig(nx=48, ny=48)
+    kwargs: Dict[str, Dict[str, Any]] = {
+        "figure-5": dict(
+            workloads=["gauss", "sus", "svm", "ssym", "savdf"],
+            scale=scale,
+            length_factor=length_factor,
+        ),
+        "headlines": dict(thermal=False),
+    }
     report = ValidationReport()
-    validate_thermals(report, grid)
-    validate_logic_performance(report)
-    validate_dvfs(report, grid)
-    if include_memory:
-        validate_memory(report, scale=scale, length_factor=length_factor)
+    for experiment_id in list_experiments():
+        if experiment_id == "figure-5" and not include_memory:
+            continue
+        if get_experiment(experiment_id).targets:
+            validate_experiment(
+                report, experiment_id,
+                **kwargs.get(experiment_id, {"nx": grid.nx}),
+            )
     return report

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.experiments import EXPERIMENTS, get_experiment, list_experiments
+from repro.core.experiments import get_experiment, list_experiments
 from repro.core.logic_on_logic import (
     run_logic_study,
     run_performance_study as run_logic_perf,

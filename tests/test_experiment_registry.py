@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.experiments import (
-    EXPERIMENTS,
     Experiment,
     ExperimentOutcome,
     ExperimentRegistry,
@@ -34,9 +33,6 @@ class TestRegistryApi:
         message = str(info.value)
         assert "figure-99" in message
         assert "figure-5" in message  # the error lists what *is* valid
-
-    def test_dict_view_stays_in_sync(self):
-        assert set(EXPERIMENTS) == set(REGISTRY.list())
 
     def test_container_protocols(self):
         assert "table-4" in REGISTRY

@@ -25,7 +25,11 @@ CFG = SolverConfig(nx=12, ny=12)
 class _NanLU:
     """A factor whose solve returns garbage, as a corrupt LU would."""
 
+    def __init__(self):
+        self.solves = 0
+
     def solve(self, rhs):
+        self.solves += 1
         return np.full_like(rhs, np.nan)
 
 
@@ -40,15 +44,32 @@ class TestSteadyLadder:
         reference = solve_steady_state(stack, CFG)
         solver.clear_operator_cache()
         monkeypatch.setattr(solver, "factorize", lambda matrix: _NanLU())
-        try:
-            solution = solve_steady_state(stack, CFG)
-        finally:
-            solver.clear_operator_cache()  # drop the cached _NanLU
+        solution = solve_steady_state(stack, CFG)
         assert solution.method == "cg"
         assert not solution.degraded
         # CG solves the same discrete system: temperatures must agree.
         assert solution.peak_temperature() == pytest.approx(
             reference.peak_temperature(), abs=1e-3
+        )
+
+    def test_bad_factor_is_dropped_not_rerun(self, stack, monkeypatch):
+        # A factor that returned a non-finite field is dropped from the
+        # cached operator: the next solve of the geometry refactorizes
+        # instead of re-running it and falling back to CG again.
+        bad = _NanLU()
+        factors = iter([bad])
+        real_factorize = solver.factorize
+        monkeypatch.setattr(
+            solver, "factorize",
+            lambda matrix: next(factors, None) or real_factorize(matrix),
+        )
+        solver.clear_operator_cache()
+        first = solve_steady_state(stack, CFG)
+        second = solve_steady_state(stack, CFG)
+        assert (first.method, second.method) == ("cg", "lu")
+        assert bad.solves == 1
+        assert second.peak_temperature() == pytest.approx(
+            first.peak_temperature(), abs=1e-3
         )
 
     def test_every_rung_failing_raises_with_attempt_log(

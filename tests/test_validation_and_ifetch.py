@@ -14,8 +14,7 @@ from repro.validation import (
     SHAPE,
     ValidationReport,
     run_validation,
-    validate_dvfs,
-    validate_logic_performance,
+    validate_experiment,
 )
 
 
@@ -42,13 +41,14 @@ class TestValidationPrimitives:
 class TestValidationSections:
     def test_logic_performance_all_pass(self):
         report = ValidationReport()
-        validate_logic_performance(report)
+        validate_experiment(report, "table-4")
+        validate_experiment(report, "headlines", thermal=False)
         assert not report.failures
         assert report.counts[PASS] >= 12
 
     def test_dvfs_all_pass(self):
         report = ValidationReport()
-        validate_dvfs(report, SolverConfig(nx=20, ny=20))
+        validate_experiment(report, "table-5", nx=20)
         assert not report.failures
         assert report.counts[PASS] == 8
 
